@@ -13,7 +13,7 @@ test:
 # Validate that every metric documented in docs/OBSERVABILITY.md and every
 # fault point in docs/ROBUSTNESS.md is registered by code (both catalog
 # tests import the whole package, so nothing escapes), and vice versa —
-# plus docs/SCALING.md against the generator/shard/benchmark constants.
+# plus docs/SCALING.md against the generator/compile/benchmark constants.
 docs-check:
 	$(PYTHON) -m pytest -m docs_check tests/obs/test_docs_catalog.py \
 		tests/faults/test_docs_catalog.py \
@@ -28,7 +28,7 @@ bench:
 bench-check:
 	$(PYTHON) -m repro.cli bench --check
 
-# Mega-network smoke: generate + shard-compile + verify a small scenario
+# Mega-network smoke: generate + compile + verify a small scenario
 # end to end. The committed BENCH_scale.json comes from the full run
 # (`bench --scale 500`); this target only proves the pipeline works here,
 # so its throwaway report goes to /tmp — never into the repo, and never

@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
-"""Mega-network walkthrough: generate, shard-compile, verify, fix a ticket.
+"""Mega-network walkthrough: generate, compile, verify, fix a ticket.
 
 The paper's networks prove the workflow at ~30 devices; this example runs
 it at managed-estate scale (docs/SCALING.md is the full handbook):
 
 1. generate a seeded 500-device fat-tree with invariant policies and
    seeded misconfiguration issues;
-2. plan and run a sharded compile, and check it is byte-identical to the
-   monolithic builder;
-3. verify every invariant policy through the process-sharded verifier;
+2. compile it cold, then rebuild it incrementally after a one-device
+   edit;
+3. verify every invariant policy on the compiled data plane;
 4. inject a seeded issue and fix it through the ordinary Heimdall ticket
    workflow — scoping keeps the twin tiny even when production is huge.
 
 Run:  python examples/mega_network.py
 """
 
+import time
+
 from repro import Heimdall
 from repro.control.builder import build_dataplane
-from repro.control.shard import (
-    compile_shard_plan,
-    sharded_compile,
-    sharded_verify,
-)
+from repro.policy.verification import PolicyVerifier
 from repro.scenarios.generate import generate_scenario
+
+
+def timed(fn):
+    """``(result, milliseconds)`` of one call."""
+    start = time.perf_counter()
+    result = fn()
+    return result, (time.perf_counter() - start) * 1000.0
 
 
 def main():
@@ -37,22 +42,26 @@ def main():
     print(f"{len(scenario.policies)} invariant policies, "
           f"{len(scenario.issues)} seeded issues\n")
 
-    # ---- 2. sharded compile, byte-identical to the monolithic builder ------
-    plan = compile_shard_plan(production)
-    print(f"shard plan: {len(plan.shards)} shards over "
-          f"{len(set(plan.component_of.values()))} SPF component(s), "
-          f"sizes {[len(s.sources) for s in plan.shards]}")
-    plane = sharded_compile(production, use_cache=False)
-    monolithic = build_dataplane(production, use_cache=False)
-    identical = all(
-        plane.fib(d).routes() == monolithic.fib(d).routes()
-        for d in production.configs
+    # ---- 2. cold compile, then an incremental rebuild ---------------------
+    plane, cold_ms = timed(
+        lambda: build_dataplane(production, use_cache=False)
     )
-    print(f"sharded == monolithic, all {scenario.device_count} FIBs: "
-          f"{identical}\n")
+    print(f"cold compile: {cold_ms:.0f} ms")
+    edited = production.copy()
+    edit = scenario.issues["ospf"]
+    edit.inject(edited)
+    candidate, incremental_ms = timed(lambda: build_dataplane(
+        edited, baseline=plane, changed_devices={edit.root_cause_device},
+        use_cache=False,
+    ))
+    rebuilt = sum(
+        1 for d in edited.configs if candidate.fib(d) is not plane.fib(d)
+    )
+    print(f"incremental rebuild after editing {edit.root_cause_device}: "
+          f"{incremental_ms:.0f} ms, {rebuilt} FIBs rebuilt\n")
 
     # ---- 3. verify the invariants at scale ---------------------------------
-    report = sharded_verify(scenario.policies, plane)
+    report = PolicyVerifier(scenario.policies).verify_dataplane(plane)
     holding = sum(1 for r in report.results if r.holds)
     print(f"verify: {holding}/{len(report.results)} policies hold "
           f"on the clean network\n")

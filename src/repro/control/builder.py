@@ -148,9 +148,10 @@ def _full_compile(network, fingerprint, topology_fp, device_fps):
     ospf = compute_ospf_routes(network, segments)
     bgp = compute_bgp_routes(network, segments)
 
+    sort_pos = {}
     fibs = {}
     for router in network.routers():
-        fibs[router] = _router_fib(network, router, ospf, bgp)
+        fibs[router] = _router_fib(network, router, ospf, bgp, sort_pos)
     for host in network.hosts():
         fibs[host] = Fib(_host_routes(network.config(host)))
     for switch in network.switches():
@@ -160,13 +161,44 @@ def _full_compile(network, fingerprint, topology_fp, device_fps):
     )
 
 
-def _router_fib(network, router, ospf, bgp):
-    candidates = []
-    candidates.extend(_connected_routes(network.config(router)))
-    candidates.extend(_static_routes(network.config(router)))
-    candidates.extend(bgp.routes_by_device.get(router, []))
-    candidates.extend(ospf.routes_by_device.get(router, []))
-    return Fib(select_best_routes(candidates))
+def _router_fib(network, router, ospf, bgp, sort_pos):
+    """The router's FIB, identical to ``Fib(select_best_routes(...))``
+    over its connected, static, BGP and OSPF candidates, in that order.
+
+    The OSPF list already holds one winner per prefix, so it seeds the
+    per-prefix table directly, keyed by the prefix keys the OSPF run kept
+    beside it, and only the few local candidates go through
+    :func:`select_best_routes`. Local candidates precede OSPF in the
+    candidate order, so a local route wins ties (``<=``). ``sort_pos`` maps
+    a prefix key to the FIB's canonical ``(-prefixlen, str(prefix))`` sort
+    key; one table serves every router of a compile, so each unique prefix
+    is stringified once.
+    """
+    chosen = dict(zip(
+        ospf._keys.get(router, ()), ospf.routes_by_device.get(router, ())
+    ))
+    config = network.config(router)
+    local = list(_connected_routes(config))
+    local.extend(_static_routes(config))
+    local.extend(bgp.routes_by_device.get(router, ()))
+    for route in select_best_routes(local):
+        net = route.prefix
+        key = (int(net.network_address), net.prefixlen)
+        current = chosen.get(key)
+        if current is None or route.sort_key() <= current.sort_key():
+            chosen[key] = route
+
+    sort_pos_get = sort_pos.get
+    ordered = []
+    for key, route in chosen.items():
+        pos = sort_pos_get(key)
+        if pos is None:
+            net = route.prefix
+            pos = (-net.prefixlen, str(net))
+            sort_pos[key] = pos
+        ordered.append((pos, key, route))
+    ordered.sort(key=lambda item: item[0])
+    return Fib._from_canonical([(key, route) for _pos, key, route in ordered])
 
 
 # -- incremental rebuild -------------------------------------------------------
@@ -247,6 +279,7 @@ def _incremental_compile(network, fingerprint, topology_fp, device_fps,
     )
 
     protocols_dirty = cone.ospf_dirty or cone.bgp_dirty
+    sort_pos = {}
     fibs = {}
     rebuilt = 0
     for router in routers:
@@ -261,7 +294,7 @@ def _incremental_compile(network, fingerprint, topology_fp, device_fps,
         ):
             fibs[router] = artifacts.fibs[router]
         else:
-            fibs[router] = _router_fib(network, router, ospf, bgp)
+            fibs[router] = _router_fib(network, router, ospf, bgp, sort_pos)
             rebuilt += 1
     for host in network.hosts():
         if host in changed:

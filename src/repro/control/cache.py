@@ -219,76 +219,7 @@ class DataplaneCache:
             return fingerprint in self._entries
 
 
-class ShardedDataplaneCache:
-    """A compile cache partitioned into content-addressed shards.
-
-    Fingerprints are uniform (sha256), so routing each entry to shard
-    ``int(fp[:8], 16) % shards`` spreads keys evenly across ``shards``
-    independent :class:`DataplaneCache` instances — concurrent compilers
-    (the mega-network shard workers, parallel ticket sessions) contend on
-    a per-shard lock instead of one global one, and an LRU eviction in one
-    shard never touches another shard's working set. The public surface
-    mirrors :class:`DataplaneCache` exactly, so either can back the
-    builder.
-    """
-
-    def __init__(self, shards=8, maxsize=64):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        per_shard = max(1, maxsize // shards)
-        self.maxsize = per_shard * shards
-        self._shards = tuple(
-            DataplaneCache(maxsize=per_shard) for _ in range(shards)
-        )
-
-    def _shard(self, fingerprint):
-        return self._shards[int(fingerprint[:8], 16) % len(self._shards)]
-
-    def get(self, fingerprint):
-        """The cached artifacts for ``fingerprint``, or ``None``."""
-        return self._shard(fingerprint).get(fingerprint)
-
-    def put(self, fingerprint, artifacts):
-        """Install (or refresh) the artifacts for ``fingerprint``."""
-        self._shard(fingerprint).put(fingerprint, artifacts)
-
-    def discard(self, fingerprint):
-        """Drop one entry if present."""
-        self._shard(fingerprint).discard(fingerprint)
-
-    def clear(self):
-        """Drop every entry and reset the hit/miss counters."""
-        for shard in self._shards:
-            shard.clear()
-
-    @property
-    def hits(self):
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self):
-        return sum(shard.misses for shard in self._shards)
-
-    def stats(self):
-        """Aggregated hit/miss/entry counts plus the shard layout."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "entries": len(self),
-            "maxsize": self.maxsize,
-            "shards": len(self._shards),
-        }
-
-    def __len__(self):
-        return sum(len(shard) for shard in self._shards)
-
-    def __contains__(self, fingerprint):
-        return fingerprint in self._shard(fingerprint)
-
-
 _CACHE = DataplaneCache()
-
-_SHARDED_CACHE = ShardedDataplaneCache()
 
 
 def dataplane_cache():
@@ -296,12 +227,6 @@ def dataplane_cache():
     return _CACHE
 
 
-def sharded_dataplane_cache():
-    """The process-wide sharded compile cache (mega-network pipeline)."""
-    return _SHARDED_CACHE
-
-
 def clear_dataplane_cache():
-    """Reset the process-wide compile caches (tests, benchmarks)."""
+    """Reset the process-wide compile cache (tests, benchmarks)."""
     _CACHE.clear()
-    _SHARDED_CACHE.clear()

@@ -26,11 +26,13 @@ import ipaddress
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.control.routes import Route
+from repro.control.routes import ADMIN_DISTANCE, Route
 
 DEFAULT_PREFIX = ipaddress.IPv4Network("0.0.0.0/0")
 
 _INF = float("inf")
+
+_OSPF_DISTANCE = ADMIN_DISTANCE["ospf"]
 
 
 @dataclass(frozen=True)
@@ -69,17 +71,21 @@ class OspfRouteComputation:
         self._ads = None
         self._pairs = None
         self._spf = None
+        # router -> the prefix key of each entry of routes_by_device[router],
+        # in list order: the FIB merge and route patching index by it.
+        self._keys = None
 
     def neighbors_of(self, device):
         """Adjacencies where ``device`` is the local side (memoized tuple)."""
         return self._by_local_device.get(device, ())
 
-    def _retain(self, routers, prepared, ads_by_router, pairs, spf):
+    def _retain(self, routers, prepared, ads_by_router, pairs, spf, keys):
         self._routers = tuple(routers)
         self._prep = prepared
         self._ads = ads_by_router
         self._pairs = pairs
         self._spf = spf
+        self._keys = keys
 
 
 def _ospf_interfaces(config):
@@ -116,20 +122,25 @@ def compute_ospf_routes(network, segments):
         name: _router_advertisements(name, network.config(name), active[name])
         for name in routers
     }
-    advertisements = [ad for name in routers for ad in ads_by_router[name]]
+    adjacency = _adjacency_index(edges)
+    grouped_ads = _grouped_advertisements(routers, ads_by_router)
+    hop_cache = {}
 
     result = OspfRouteComputation(neighbors=neighbors)
+    routes_by_device = result.routes_by_device
     spf = {}
+    keys = {}
     for router in routers:
         if not active[router]:
-            result.routes_by_device[router] = []
+            routes_by_device[router], keys[router] = [], []
             continue
-        dist, first_hop = _dijkstra(router, routers, edges)
+        dist, first_hop = _dijkstra(router, adjacency)
         spf[router] = (dist, first_hop)
-        result.routes_by_device[router] = _routes_for(
-            network, router, dist, first_hop, advertisements
+        routes_by_device[router], keys[router] = _routes_for(
+            network.config(router), router, dist, first_hop, grouped_ads,
+            hop_cache,
         )
-    result._retain(routers, prepared, ads_by_router, pairs, spf)
+    result._retain(routers, prepared, ads_by_router, pairs, spf, keys)
     return result
 
 
@@ -173,32 +184,36 @@ def incremental_ospf_routes(network, segments, baseline, dirty):
 
     # Rebuild adjacencies in exact cold order: clean pairs come from the
     # baseline verbatim, dirty-involving pairs are re-paired and their edge
-    # multisets diffed. Edge identity includes interface names *and*
-    # addresses — a same-cost renumbering must register as a delta or a
-    # reused tree would emit a stale next hop.
-    ordered = sorted(routers)
+    # multisets diffed. Only pairs that had adjacencies before, or that
+    # share an (area, subnet) bucket with a dirty router now, can carry
+    # any. Edge identity includes interface names *and* addresses — a
+    # same-cost renumbering must register as a delta or a reused tree
+    # would emit a stale next hop.
+    candidates = set(baseline._pairs)
+    candidates.update(
+        (u, v) for u, v in _candidate_pairs(prepared)
+        if u in dirty or v in dirty
+    )
     neighbors = []
     edges = []
     pairs = {}
     changed_edges = set()
-    for i, u in enumerate(ordered):
-        u_dirty = u in dirty
-        for v in ordered[i + 1:]:
-            if u_dirty or v in dirty:
-                pair_n, pair_e = _pair_adjacencies(
-                    segments, u, prepared[u], v, prepared[v]
-                )
-                old_n, old_e = baseline._pairs.get((u, v), ((), ()))
-                old_count = Counter(_edge_key(e) for e in old_e)
-                new_count = Counter(_edge_key(e) for e in pair_e)
-                for key in (old_count - new_count) + (new_count - old_count):
-                    changed_edges.add(key[:3])  # (u, v, cost)
-            else:
-                pair_n, pair_e = baseline._pairs.get((u, v), ((), ()))
-            if pair_n or pair_e:
-                pairs[(u, v)] = (tuple(pair_n), tuple(pair_e))
-            neighbors.extend(pair_n)
-            edges.extend(pair_e)
+    for u, v in sorted(candidates):
+        if u in dirty or v in dirty:
+            pair_n, pair_e = _pair_adjacencies(
+                segments, u, prepared[u], v, prepared[v]
+            )
+            old_n, old_e = baseline._pairs.get((u, v), ((), ()))
+            old_count = Counter(_edge_key(e) for e in old_e)
+            new_count = Counter(_edge_key(e) for e in pair_e)
+            for key in (old_count - new_count) + (new_count - old_count):
+                changed_edges.add(key[:3])  # (u, v, cost)
+        else:
+            pair_n, pair_e = baseline._pairs[(u, v)]
+        if pair_n or pair_e:
+            pairs[(u, v)] = (tuple(pair_n), tuple(pair_e))
+        neighbors.extend(pair_n)
+        edges.extend(pair_e)
 
     # The advertisement delta, as the prefix keys whose candidate set
     # changed: a clean source with an intact tree can only see route
@@ -219,35 +234,48 @@ def incremental_ospf_routes(network, segments, baseline, dirty):
             ads_for_affected[ad[1]].append(ad)
             key_order.setdefault(ad[1], index)
 
+    # Shared by every source that needs a full Dijkstra; built on first use
+    # because a small edit often needs none.
+    adjacency = None
+    grouped_ads = _grouped_advertisements(routers, ads_by_router)
+    hop_cache = {}
+
     result = OspfRouteComputation(neighbors=neighbors)
+    routes_by_device = result.routes_by_device
     spf = {}
+    keys = {}
     full = delta = reused = 0
     for router in routers:
         if not ads_by_router[router]:
             # No activated interfaces: no ads, no routes — active-ness is
             # purely local, so other routers' changes cannot alter this.
-            result.routes_by_device[router] = []
+            routes_by_device[router], keys[router] = [], []
             continue
         old = None if router in dirty else baseline._spf.get(router)
         if old is None or _spf_affected(old[0], changed_edges):
-            dist, first_hop = _dijkstra(router, routers, edges)
+            if adjacency is None:
+                adjacency = _adjacency_index(edges)
+            dist, first_hop = _dijkstra(router, adjacency)
             full += 1
             spf[router] = (dist, first_hop)
-            result.routes_by_device[router] = _routes_for(
-                network, router, dist, first_hop, advertisements
+            routes_by_device[router], keys[router] = _routes_for(
+                network.config(router), router, dist, first_hop, grouped_ads,
+                hop_cache,
             )
             continue
         spf[router] = old
         if not ads_dirty:
-            result.routes_by_device[router] = baseline.routes_by_device[router]
+            routes_by_device[router] = baseline.routes_by_device[router]
+            keys[router] = baseline._keys[router]
             reused += 1
             continue
         delta += 1
-        result.routes_by_device[router] = _patch_routes(
-            network, router, old[0], old[1],
-            baseline.routes_by_device[router], ads_for_affected, key_order,
+        routes_by_device[router], keys[router] = _patch_routes(
+            network.config(router), router, old[0], old[1],
+            baseline.routes_by_device[router], baseline._keys[router],
+            ads_for_affected, key_order, hop_cache,
         )
-    result._retain(routers, prepared, ads_by_router, pairs, spf)
+    result._retain(routers, prepared, ads_by_router, pairs, spf, keys)
     return result, (full, delta, reused)
 
 
@@ -321,26 +349,48 @@ def _pair_adjacencies(segments, u, entries_u, v, entries_v):
     return neighbors, edges
 
 
+def _candidate_pairs(prepared):
+    """Router pairs ``(u, v)``, ``u < v``, sharing an ``(area, subnet)``.
+
+    Only such pairs can form an adjacency, so hashing every prepared entry
+    into its bucket and pairing bucket members replaces a scan over all
+    O(R^2) router pairs.
+    """
+    buckets = {}
+    for name, entries in prepared.items():
+        for _iface, area, net_key in entries:
+            buckets.setdefault((area, net_key), set()).add(name)
+    candidates = set()
+    for members in buckets.values():
+        if len(members) < 2:
+            continue
+        ordered = sorted(members)
+        for i, u in enumerate(ordered):
+            for v in ordered[i + 1:]:
+                candidates.add((u, v))
+    return candidates
+
+
 def _discover_adjacencies(segments, prepared):
     """All adjacencies, the SPF edge list, and the per-pair index.
 
-    ``pairs`` maps ``(u, v)`` with ``u < v`` to that pair's (neighbors,
-    edges) tuples — only non-empty pairs are stored — so an incremental run
-    can splice clean pairs back in cold order and diff only dirty ones.
+    Pairs are visited in sorted order, so the output order is that of a
+    scan over every router pair. ``pairs`` maps ``(u, v)`` with ``u < v``
+    to that pair's (neighbors, edges) tuples — only non-empty pairs are
+    stored — so an incremental run can splice clean pairs back in cold
+    order and diff only dirty ones.
     """
     neighbors = []
     edges = []
     pairs = {}
-    routers = sorted(prepared)
-    for i, u in enumerate(routers):
-        for v in routers[i + 1:]:
-            pair_n, pair_e = _pair_adjacencies(
-                segments, u, prepared[u], v, prepared[v]
-            )
-            if pair_n or pair_e:
-                pairs[(u, v)] = (tuple(pair_n), tuple(pair_e))
-            neighbors.extend(pair_n)
-            edges.extend(pair_e)
+    for u, v in sorted(_candidate_pairs(prepared)):
+        pair_n, pair_e = _pair_adjacencies(
+            segments, u, prepared[u], v, prepared[v]
+        )
+        if pair_n or pair_e:
+            pairs[(u, v)] = (tuple(pair_n), tuple(pair_e))
+        neighbors.extend(pair_n)
+        edges.extend(pair_e)
     return neighbors, edges, pairs
 
 
@@ -364,16 +414,41 @@ def _router_advertisements(router, config, active):
     return ads
 
 
-def _dijkstra(source, routers, edges):
-    """Shortest paths from ``source``; returns (dist, first_hop).
+def _grouped_advertisements(routers, ads_by_router):
+    """``[(advertiser, ads), ...]`` in router order, advertisers with ads only.
 
-    ``first_hop[r]`` is ``(out_interface_cfg, remote_interface_cfg)`` of the
-    first SPF edge toward ``r``.
+    Concatenated, the groups are the flat advertisement list, so selection
+    visits candidates in the same order while resolving each advertiser's
+    distance and next hop once per group.
+    """
+    return [(name, ads_by_router[name]) for name in routers
+            if ads_by_router[name]]
+
+
+def _adjacency_index(edges):
+    """``node -> [(neighbor, cost, iface_u, iface_v), ...]`` for SPF.
+
+    Built once per compile and shared by every Dijkstra source. Each list
+    is sorted by ``(cost, neighbor)`` once, stably over edge order, so
+    parallel equal-cost edges keep their discovery order.
     """
     adjacency = {}
     for u, v, cost, iface_u, iface_v in edges:
         adjacency.setdefault(u, []).append((v, cost, iface_u, iface_v))
+    for entries in adjacency.values():
+        entries.sort(key=lambda e: (e[1], e[0]))
+    return adjacency
 
+
+def _dijkstra(source, adjacency):
+    """Shortest paths from ``source``; returns (dist, first_hop).
+
+    ``adjacency`` is an :func:`_adjacency_index`. Of two equal-distance
+    paths the one through the node popped first wins (strict-``<``
+    relaxation, heap entries ordered by ``(distance, name)``).
+    ``first_hop[r]`` is ``(out_interface_cfg, remote_interface_cfg)`` of the
+    first SPF edge toward ``r``.
+    """
     dist = {source: 0}
     first_hop = {}
     # Heap entries carry the node name for deterministic tie-breaking.
@@ -386,11 +461,9 @@ def _dijkstra(source, routers, edges):
         visited.add(node)
         if hop is not None:
             first_hop[node] = hop
-        for neighbor, cost, iface_u, iface_v in sorted(
-            adjacency.get(node, []), key=lambda e: (e[1], e[0])
-        ):
+        for neighbor, cost, iface_u, iface_v in adjacency.get(node, ()):
             candidate = d + cost
-            if candidate < dist.get(neighbor, float("inf")):
+            if candidate < dist.get(neighbor, _INF):
                 dist[neighbor] = candidate
                 next_hop = hop if hop is not None else (iface_u, iface_v)
                 heapq.heappush(heap, (candidate, neighbor, next_hop))
@@ -407,52 +480,63 @@ def _local_prefix_keys(config):
     return local_prefixes
 
 
-def _routes_for(network, router, dist, first_hop, advertisements):
-    """OSPF routes installed on ``router``."""
-    local_prefixes = _local_prefix_keys(network.config(router))
-    # Rank candidates on (metric, str(next_hop)) — equivalent to
-    # Route.sort_key() since every OSPF route shares one admin distance —
-    # and only materialize the winners as Route objects. The per-advertiser
-    # (distance, next-hop string, hop interfaces) tuple is memoized: the
-    # next-hop IP stringification otherwise dominates the whole compile.
+def _routes_for(config, router, dist, first_hop, grouped_ads, hop_cache):
+    """OSPF routes installed on ``router``, with their prefix keys.
+
+    Returns ``(routes, keys)``, ``keys[i]`` being the ``(network_int,
+    prefixlen)`` key of ``routes[i]``. Candidates rank on ``(metric,
+    str(next_hop))`` — equivalent to ``Route.sort_key()`` since every OSPF
+    route shares one admin distance — the first one wins ties, and only
+    the winners become ``Route`` objects.
+    """
+    local_prefixes = _local_prefix_keys(config)
     best = {}
-    hop_rank = {}
-    for prefix, key, advertiser, advertiser_cost in advertisements:
-        if advertiser == router or key in local_prefixes:
+    best_get = best.get
+    for advertiser, ads in grouped_ads:
+        if advertiser == router or advertiser not in first_hop:
             continue
-        cached = hop_rank.get(advertiser)
-        if cached is None:
-            if advertiser not in dist or advertiser not in first_hop:
-                hop_rank[advertiser] = False
+        out_iface, remote_iface = first_hop[advertiser]
+        hop_addr, hop_ip = _next_hop(remote_iface, hop_cache)
+        base_dist = dist[advertiser]
+        for prefix, key, _advertiser, advertiser_cost in ads:
+            if key in local_prefixes:
                 continue
-            out_iface, remote_iface = first_hop[advertiser]
-            cached = (
-                dist[advertiser], str(remote_iface.address.ip),
-                out_iface, remote_iface,
-            )
-            hop_rank[advertiser] = cached
-        elif cached is False:
-            continue
-        base_dist, hop_ip, out_iface, remote_iface = cached
-        metric = base_dist + advertiser_cost
-        rank = (metric, hop_ip)
-        current = best.get(key)
-        if current is None or rank < current[0]:
-            best[key] = (rank, prefix, metric, out_iface, remote_iface)
-    return [
-        Route(
-            prefix=prefix,
-            protocol="ospf",
-            out_interface=out_iface.name,
-            next_hop=remote_iface.address.ip,
-            metric=metric,
-        )
-        for (_rank, prefix, metric, out_iface, remote_iface) in best.values()
-    ]
+            rank = (base_dist + advertiser_cost, hop_ip)
+            current = best_get(key)
+            if current is None or rank < current[0]:
+                best[key] = (rank, prefix, out_iface, hop_addr)
+    return [_ospf_route(*entry) for entry in best.values()], list(best)
 
 
-def _patch_routes(network, router, dist, first_hop, base_routes,
-                  ads_for_affected, key_order):
+def _next_hop(remote_iface, hop_cache):
+    """``(address, str(address))`` of the next hop through ``remote_iface``.
+
+    ``hop_cache`` maps ``id(remote interface)`` to that pair and is shared
+    by every source of one compile: stringifying next hops otherwise
+    dominates the compile. It must not outlive the compile, since the ids
+    are valid only while these configs are.
+    """
+    hop = hop_cache.get(id(remote_iface))
+    if hop is None:
+        address = remote_iface.address.ip
+        hop = (address, str(address))
+        hop_cache[id(remote_iface)] = hop
+    return hop
+
+
+def _ospf_route(rank, prefix, out_iface, hop_addr):
+    return Route(
+        prefix=prefix,
+        protocol="ospf",
+        out_interface=out_iface.name,
+        next_hop=hop_addr,
+        metric=rank[0],
+        distance=_OSPF_DISTANCE,
+    )
+
+
+def _patch_routes(config, router, dist, first_hop, base_routes, base_keys,
+                  ads_for_affected, key_order, hop_cache):
     """Patch one clean source's baseline routes against the ads delta.
 
     The source's tree is intact and its own config is clean, so every
@@ -461,49 +545,33 @@ def _patch_routes(network, router, dist, first_hop, base_routes,
     keys are re-selected (same strict-``<`` first-wins tie-break as
     :func:`_routes_for`) and spliced into a copy of the baseline list:
     unchanged winners keep their baseline ``Route`` objects, removed keys
-    drop out, new keys append in flat-advertisement order. A patch that
-    changes nothing returns the baseline list *object*, which downstream
-    FIB sharing detects by identity. List order can deviate from a cold
-    run's insertion order when an affected prefix has several advertisers,
-    but never in content — and FIB construction is order-insensitive (one
+    drop out, new keys append in flat-advertisement order. Returns
+    ``(routes, keys)`` like :func:`_routes_for`; a patch that changes
+    nothing returns the baseline list *objects*, which downstream FIB
+    sharing detects by identity. List order can deviate from a cold run's
+    insertion order when an affected prefix has several advertisers, but
+    never in content — and FIB construction is order-insensitive (one
     winner per prefix, totally-ordered sort).
     """
-    local_prefixes = _local_prefix_keys(network.config(router))
-    hop_rank = {}
+    local_prefixes = _local_prefix_keys(config)
 
     def winner(key):
-        best = None
         if key in local_prefixes:
             return None
+        best = None
         for prefix, _key, advertiser, advertiser_cost in ads_for_affected[key]:
-            if advertiser == router:
+            if advertiser == router or advertiser not in first_hop:
                 continue
-            cached = hop_rank.get(advertiser)
-            if cached is None:
-                if advertiser not in dist or advertiser not in first_hop:
-                    hop_rank[advertiser] = False
-                    continue
-                out_iface, remote_iface = first_hop[advertiser]
-                cached = (
-                    dist[advertiser], str(remote_iface.address.ip),
-                    out_iface, remote_iface,
-                )
-                hop_rank[advertiser] = cached
-            elif cached is False:
-                continue
-            base_dist, hop_ip, out_iface, remote_iface = cached
-            metric = base_dist + advertiser_cost
-            rank = (metric, hop_ip)
+            out_iface, remote_iface = first_hop[advertiser]
+            hop_addr, hop_ip = _next_hop(remote_iface, hop_cache)
+            rank = (dist[advertiser] + advertiser_cost, hop_ip)
             if best is None or rank < best[0]:
-                best = (rank, prefix, metric, out_iface, remote_iface)
+                best = (rank, prefix, out_iface, hop_addr)
         return best
 
-    index_of = {}
-    for index, route in enumerate(base_routes):
-        net = route.prefix
-        index_of[(int(net.network_address), net.prefixlen)] = index
-
-    out = list(base_routes)
+    index_of = {key: index for index, key in enumerate(base_keys)}
+    routes = list(base_routes)
+    keys = list(base_keys)
     changed = False
     removals = []
     additions = []
@@ -515,21 +583,20 @@ def _patch_routes(network, router, dist, first_hop, base_routes,
                 removals.append(old_index)
                 changed = True
             continue
-        _rank, prefix, metric, out_iface, remote_iface = best
-        route = Route(
-            prefix=prefix, protocol="ospf", out_interface=out_iface.name,
-            next_hop=remote_iface.address.ip, metric=metric,
-        )
+        route = _ospf_route(*best)
         if old_index is not None:
             if route != base_routes[old_index]:
-                out[old_index] = route
+                routes[old_index] = route
                 changed = True
         else:
-            additions.append((key_order[key], route))
+            additions.append((key_order[key], key, route))
             changed = True
     if not changed:
-        return base_routes
+        return base_routes, base_keys
     for index in sorted(removals, reverse=True):
-        del out[index]
-    out.extend(route for _order, route in sorted(additions))
-    return out
+        del routes[index]
+        del keys[index]
+    for _order, key, route in sorted(additions, key=lambda item: item[0]):
+        routes.append(route)
+        keys.append(key)
+    return routes, keys

@@ -251,10 +251,7 @@ class HealthProbe:
                     policy for policy in policies
                     if policy.policy_id in self.invariants
                 ]
-                self._invariant_verifier = PolicyVerifier(
-                    relevant,
-                    max_workers=getattr(policy_verifier, "max_workers", None),
-                )
+                self._invariant_verifier = PolicyVerifier(relevant)
             else:
                 self._invariant_verifier = policy_verifier
         # Per-device dead-next-hop sets: the convergence sweep reuses a

@@ -104,26 +104,10 @@ class EnforcementDecision:
 class ChangeVerifier:
     """Verifies change sets against a Privilege_msp and network policies."""
 
-    def __init__(self, policies, privilege_spec=None, incremental=True,
-                 max_workers=None, verify_workers=None):
-        self.policy_verifier = PolicyVerifier(policies, max_workers=max_workers)
+    def __init__(self, policies, privilege_spec=None, incremental=True):
+        self.policy_verifier = PolicyVerifier(policies)
         self.privilege_spec = privilege_spec
         self.incremental = incremental
-        # Mega-network escape hatch: route the two policy sweeps through
-        # the process-sharded verifier instead of the in-process one. Off
-        # (None) by default — forking only pays for generated-scale policy
-        # sets; see docs/SCALING.md.
-        self.verify_workers = verify_workers
-
-    def _verify_policies(self, dataplane):
-        if self.verify_workers is None:
-            return self.policy_verifier.verify_dataplane(dataplane)
-        from repro.control.shard import sharded_verify
-
-        return sharded_verify(
-            self.policy_verifier.policies, dataplane,
-            workers=self.verify_workers,
-        )
 
     @property
     def constraint_count(self):
@@ -189,7 +173,9 @@ class ChangeVerifier:
             # fingerprinted — skip it on the verification hot path.
             production_dataplane.assert_binding_intact()
             with obs_trace.span("enforcer.policy.baseline"):
-                baseline_report = self._verify_policies(production_dataplane)
+                baseline_report = self.policy_verifier.verify_dataplane(
+                    production_dataplane
+                )
             decision.baseline_report = baseline_report
             already_broken = {
                 result.policy.policy_id
@@ -222,8 +208,8 @@ class ChangeVerifier:
                     )
                 candidate_dataplane.assert_binding_intact()
             with obs_trace.span("enforcer.policy.candidate"):
-                decision.candidate_report = self._verify_policies(
-                    candidate_dataplane
+                decision.candidate_report = (
+                    self.policy_verifier.verify_dataplane(candidate_dataplane)
                 )
             with obs_trace.span("enforcer.impact"):
                 decision.impact = diff_reachability(

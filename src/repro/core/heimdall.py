@@ -84,7 +84,7 @@ class Heimdall:
 
     def __init__(self, production=None, policies=None,
                  scoping_strategy="heimdall",
-                 clock=None, cost_model=None, max_workers=None, rollout=None,
+                 clock=None, cost_model=None, rollout=None,
                  approvals=None, audit_replicas=0, audit_quorum=None,
                  tenants=None, org_id=""):
         # Multi-tenant service mode: N org-isolated deployments behind one
@@ -119,7 +119,6 @@ class Heimdall:
             list(policies) if policies is not None else mine_policies(production)
         )
         self.scoping_strategy = scoping_strategy
-        self.max_workers = max_workers  # verifier parallelism (None = serial)
         # Staged canary imports: a RolloutConfig makes every approved push
         # wave-based with post-wave health probes (docs/ARCHITECTURE.md
         # "Staged rollout"); None keeps monolithic transactional pushes.
@@ -252,10 +251,7 @@ class Heimdall:
         """
         with obs_trace.span("enforcer.enforce", parent=session.span):
             changes = session.twin.changes()
-            verifier = ChangeVerifier(
-                self.policies, session.privilege_spec,
-                max_workers=self.max_workers,
-            )
+            verifier = ChangeVerifier(self.policies, session.privilege_spec)
             decision = verifier.verify(self.production, changes)
             self.clock.advance(
                 self.cost_model.verify_s(verifier.constraint_count),

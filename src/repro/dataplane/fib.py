@@ -55,17 +55,18 @@ class Fib:
     def _from_canonical(cls, ordered):
         """Construct from ``[(key, route), ...]`` already in canonical order.
 
-        Fast path for the sharded compiler (:mod:`repro.control.shard`),
-        which selects one winner per prefix and sorts by a precomputed
-        ``(-prefixlen, str(prefix))`` table — re-deriving both here would
-        redo work the shard already paid for once per *unique* prefix
-        instead of once per installed route. ``key`` is the route's
-        ``(int(network_address), prefixlen)`` pair; keys must be unique and
-        ordered exactly as ``__init__`` would sort the routes, which keeps
-        the two constructors behaviourally indistinguishable (asserted by
-        the shard-vs-monolithic equivalence tests). ``_by_prefix`` is built
-        lazily on the first exact-prefix query — it is off the forwarding
-        hot path entirely.
+        Fast path for the router FIBs of
+        :func:`repro.control.builder._router_fib`, which selects one winner
+        per prefix and sorts by a per-compile ``(-prefixlen, str(prefix))``
+        table — re-deriving both here would redo work the compile already
+        paid for once per *unique* prefix instead of once per installed
+        route. ``key`` is the route's ``(int(network_address), prefixlen)``
+        pair; keys must be unique and ordered exactly as ``__init__`` would
+        sort the routes, which keeps the two constructors behaviourally
+        indistinguishable (asserted against ``Fib(select_best_routes(...))``
+        by ``tests/control/test_reference_equivalence.py``). ``_by_prefix``
+        is built lazily on the first exact-prefix query — it is off the
+        forwarding hot path entirely.
         """
         fib = cls.__new__(cls)
         fib._routes = [route for _key, route in ordered]

@@ -85,11 +85,6 @@ class DataPlane:
         if self.artifacts is None or self._binding_asserted:
             return True
         expected = self.artifacts.device_fingerprints
-        if expected is None:
-            # Unfingerprinted artifacts (a cache-bypassing sharded compile)
-            # are never shared through the compile cache, so their trace
-            # store is as private as a hand-assembled plane's.
-            return True
         from repro.control.cache import config_fingerprint
 
         for device in devices:

@@ -53,7 +53,6 @@ REPORT_METRICS = (
     "retry.attempts",
     "retry.exhausted",
     "monitor.timeouts",
-    "verify.degraded",
     "rollout.waves",
     "rollout.probes",
     "rollout.probe.violations",
@@ -110,7 +109,6 @@ class Scenario:
     issue: str
     plan: dict  # fault point name -> Rule
     arm_phase: str = "push"  # "session" | "push"
-    max_workers: int = None
     expect: str = None  # "committed" | "rolled-back" | None
     # Staged-rollout knobs: a RolloutConfig makes the scenario's push
     # wave-based; extra_script appends FixSteps (a second device's benign
@@ -310,22 +308,6 @@ def _campaigns(seed=7):
             network="enterprise", issue="vlan",
             plan={"monitor.timeout": Rule(probability=0.4, times=99)},
             arm_phase="session",
-        ),
-    ]
-    verify_degraded = [
-        Scenario(
-            label="worker-death-degrades",
-            network="enterprise", issue="ospf",
-            plan={"verify.worker": Rule(probability=0.5, times=99)},
-            max_workers=4,
-            expect="committed",
-        ),
-        Scenario(
-            label="all-workers-die",
-            network="university", issue="isp",
-            plan={"verify.worker": Rule(probability=1.0, times=9999)},
-            max_workers=4,
-            expect="committed",
         ),
     ]
     canary_extra = _CANARY_EXTRA["enterprise"]
@@ -568,13 +550,11 @@ def _campaigns(seed=7):
         push_failures[0], push_failures[1], push_failures[3],
         push_failures[4],
         monitor_timeouts[0],
-        verify_degraded[0],
         canary[1], canary[4],
     ]
     return {
         "push-failures": push_failures,
         "monitor-timeouts": monitor_timeouts,
-        "verify-degraded": verify_degraded,
         "canary": canary,
         "approvals": approvals,
         "adversarial": adversarial,
@@ -641,8 +621,7 @@ def run_scenario(scenario, seed):
     issue = standard_issues(scenario.network)[scenario.issue]
     issue.inject(network)
     heimdall = Heimdall(
-        network, policies=policies, max_workers=scenario.max_workers,
-        rollout=scenario.rollout, approvals=scenario.approvals,
+        network, policies=policies, rollout=scenario.rollout, approvals=scenario.approvals,
         audit_replicas=scenario.audit_replicas,
     )
     attack = scenario.attack

@@ -1,49 +1,22 @@
 """Policy verification over a data plane (the Batfish-check stand-in)."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from repro import faults
 from repro.control.builder import build_dataplane
 from repro.dataplane.reachability import ReachabilityAnalyzer
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.state import STATE as _OBS
 from repro.util.clock import monotonic_s
-from repro.util.errors import VerifierWorkerError
 
 _POLICY_CHECKS = obs_metrics.counter(
     "policy.checks", unit="checks",
-    help="individual policy evaluations (serial and parallel)",
-)
-_PARALLEL_CHECKS = obs_metrics.counter(
-    "policy.checks.parallel", unit="checks",
-    help="policy evaluations dispatched to a worker pool",
+    help="individual policy evaluations",
 )
 _VERIFY_MS = obs_metrics.histogram(
     "policy.verify.ms", unit="ms",
     help="wall-clock milliseconds per full verification pass",
 )
-_WORKERS = obs_metrics.gauge(
-    "policy.verify.workers", unit="threads",
-    help="worker threads used by the most recent verification pass",
-)
-_DEGRADED = obs_metrics.counter(
-    "verify.degraded", unit="passes",
-    help="verification passes that fell back to sequential checking "
-         "after parallel worker deaths",
-)
-
-_WORKER_FAULT = faults.fault_point(
-    "verify.worker", error=VerifierWorkerError,
-    help="a parallel verification worker dies mid-check; the pass "
-         "re-runs the lost policies sequentially (graceful degradation)",
-)
-
-# Sentinel a dying worker leaves in the result slot; the degraded path
-# re-checks exactly those slots serially.
-_WORKER_DIED = object()
 
 
 @dataclass
@@ -88,26 +61,12 @@ class PolicyVerifier:
     :meth:`verify` call compiles (or receives) a data plane and traces every
     policy's representative flow.
 
-    ``max_workers`` controls policy-level parallelism: policies are
-    independent of each other, and the analyzer's trace cache is
-    thread-safe, so a pool of worker threads can check them concurrently.
-    The default (``None``) stays serial — tracing is pure Python, so under
-    the GIL threads only pay off when checks overlap on cached traces or a
-    future backend releases the GIL; pass ``max_workers=N`` (or ``0`` for
-    ``os.cpu_count()``) to opt in. Report order always matches policy
-    order, parallel or not.
+    Policies are checked serially, in order. One verifier may serve many
+    threads at once: the analyzer's trace cache is thread-safe.
     """
 
-    def __init__(self, policies, max_workers=None):
+    def __init__(self, policies):
         self.policies = list(policies)
-        self.max_workers = max_workers
-
-    def _worker_count(self):
-        if self.max_workers is None:
-            return 1
-        if self.max_workers == 0:
-            return os.cpu_count() or 1
-        return max(1, self.max_workers)
 
     def verify_dataplane(self, dataplane, analyzer=None):
         """Check all policies against an already-compiled data plane.
@@ -120,56 +79,13 @@ class PolicyVerifier:
         if analyzer is None:
             analyzer = ReachabilityAnalyzer(dataplane)
         report = VerificationReport()
-        workers = self._worker_count()
         started = monotonic_s() if _OBS.enabled else 0.0
         with obs_trace.span(
-            "verify.policies", policies=len(self.policies), workers=workers
+            "verify.policies", policies=len(self.policies)
         ) as vspan:
-            if workers > 1 and len(self.policies) > 1:
-                _WORKERS.set(workers)
-                _PARALLEL_CHECKS.inc(len(self.policies))
-
-                # Worker threads have no span stack of their own, so the
-                # pass's span is handed to them as the explicit parent.
-                # A dying worker (the verify.worker fault point) leaves a
-                # sentinel instead of poisoning the whole pass.
-                def check(policy):
-                    try:
-                        _WORKER_FAULT.fire(policy=policy.policy_id)
-                        with obs_trace.span(
-                            "verify.policy", parent=vspan,
-                            policy=policy.policy_id,
-                        ):
-                            return policy.check(analyzer)
-                    except VerifierWorkerError:
-                        return _WORKER_DIED
-
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    report.results = list(pool.map(check, self.policies))
-
-                # Graceful degradation: re-run the policies whose workers
-                # died sequentially, preserving report order.
-                lost = [
-                    index for index, result in enumerate(report.results)
-                    if result is _WORKER_DIED
-                ]
-                if lost:
-                    _DEGRADED.inc()
-                    vspan.set(degraded=True, lost_workers=len(lost))
-                    for index in lost:
-                        policy = self.policies[index]
-                        with obs_trace.span(
-                            "verify.policy.degraded", parent=vspan,
-                            policy=policy.policy_id,
-                        ):
-                            report.results[index] = policy.check(analyzer)
-            else:
-                _WORKERS.set(1)
-                for policy in self.policies:
-                    with obs_trace.span(
-                        "verify.policy", policy=policy.policy_id
-                    ):
-                        report.results.append(policy.check(analyzer))
+            for policy in self.policies:
+                with obs_trace.span("verify.policy", policy=policy.policy_id):
+                    report.results.append(policy.check(analyzer))
             _POLICY_CHECKS.inc(len(self.policies))
             vspan.set(violations=report.violation_count)
         if _OBS.enabled:

@@ -201,20 +201,6 @@ class ApproverCrash(ApprovalError):
         self.approver = approver
 
 
-class VerifierWorkerError(ReproError):
-    """A parallel verification worker died; the pass degrades to serial."""
-
-
-class ShardWorkerError(ReproError):
-    """A sharded compile/verify worker died; the shard re-runs in-process.
-
-    Raised only by the ``scale.shard.crash`` fault point (and surfaced by
-    real worker-pool breakage); :mod:`repro.control.shard` catches it and
-    executes the lost shard in the parent process — the same graceful
-    degradation the parallel policy verifier uses for dying threads.
-    """
-
-
 # -- multi-tenant front door --------------------------------------------------
 #
 # One Heimdall-as-a-service front door admits many customer organisations

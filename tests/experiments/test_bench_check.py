@@ -70,9 +70,17 @@ class TestCompare:
         assert compare(committed, {"m": (2.5, True, 3.0)}) == []
         assert compare(committed, {"m": (2.3, True, 3.0)})
 
-    def test_only_shared_metrics_are_gated(self):
-        committed = {"gone": (4.0, True, None)}
-        assert compare(committed, {"new": (1.0, True, None)}) == []
+    def test_new_fresh_metrics_are_not_gated(self):
+        committed = {"m": (4.0, True, None)}
+        fresh = {"m": (4.0, True, None), "new": (1.0, True, None)}
+        assert compare(committed, fresh) == []
+
+    def test_missing_committed_metric_fails(self):
+        # A gate the fresh run stops emitting must not pass silently.
+        committed = {"gone": (4.0, True, None), "m": (4.0, True, None)}
+        failures = compare(committed, {"m": (4.0, True, None)})
+        assert len(failures) == 1 and "gone:" in failures[0]
+        assert "missing" in failures[0]
 
     def test_improvements_pass(self):
         committed = {"m": (4.0, True, None), "n": (2.0, False, None)}

@@ -5,11 +5,7 @@ import json
 import pytest
 
 from repro.experiments.bench_check import scale_metrics
-from repro.experiments.bench_scale import (
-    SPEEDUP_TARGET,
-    run_scale_benchmark,
-    write_report,
-)
+from repro.experiments.bench_scale import run_scale_benchmark, write_report
 from repro.util.errors import ReproError
 
 
@@ -17,9 +13,7 @@ from repro.util.errors import ReproError
 def report():
     # Small and single-repeat: structure is what's under test here; the
     # committed BENCH_scale.json carries the real 500-device numbers.
-    return run_scale_benchmark(
-        size=60, shape="hub-spoke", seed=3, repeats=1, shard_size=3,
-    )
+    return run_scale_benchmark(size=60, shape="hub-spoke", seed=3, repeats=1)
 
 
 class TestRunScaleBenchmark:
@@ -30,9 +24,9 @@ class TestRunScaleBenchmark:
             run_scale_benchmark(repeats=0)
 
     def test_report_sections(self, report):
-        assert set(report) >= {
-            "generated", "sharding", "compile", "verify", "acceptance",
-            "repeats",
+        assert set(report) == {"generated", "compile", "verify", "repeats"}
+        assert set(report["compile"]) == {
+            "cold_ms", "incremental_ms", "incremental_speedup",
         }
         generated = report["generated"]
         assert generated["shape"] == "hub-spoke"
@@ -40,59 +34,26 @@ class TestRunScaleBenchmark:
         assert generated["devices"] > 0
         assert generated["policies"] > 0
 
-    def test_sharding_reports_requested_and_effective_workers(self, report):
-        sharding = report["sharding"]
-        assert sharding["shards"] > 0
-        # The knob as passed (None = auto) and what the pool actually
-        # forked — effective is cpu-resolved, never more than shard count.
-        assert sharding["workers_requested"] is None
-        assert 1 <= sharding["workers_effective"] <= sharding["shards"]
-
-    def test_explicit_worker_request_is_recorded(self):
-        report = run_scale_benchmark(
-            size=40, shape="hub-spoke", seed=3, repeats=1, shard_size=3,
-            workers=2,
-        )
-        sharding = report["sharding"]
-        assert sharding["workers_requested"] == 2
-        assert sharding["workers_effective"] <= 2
-
     def test_ratios_positive(self, report):
         compile_ = report["compile"]
-        assert compile_["single_ms"] > 0
-        assert compile_["sharded_ms"] > 0
-        assert compile_["sharded_speedup"] > 0
+        assert compile_["cold_ms"] > 0
+        assert compile_["incremental_ms"] > 0
         assert compile_["incremental_speedup"] > 0
+        assert report["verify"]["ms"] > 0
         assert report["verify"]["policies_per_s"] > 0
-
-    def test_acceptance_gate_only_applies_at_scale(self, report):
-        acceptance = report["acceptance"]
-        assert acceptance["target"] == SPEEDUP_TARGET
-        assert acceptance["applies"] is False  # 60 devices < 500
-        assert acceptance["pass"] is True  # sub-scale runs never fail
 
 
 class TestScaleMetrics:
     def test_extracts_gated_ratios(self):
         committed = {
-            "compile": {"sharded_speedup": 2.4, "incremental_speedup": 1.9},
-            "acceptance": {"applies": True},
+            "compile": {
+                "cold_ms": 230.0, "incremental_ms": 92.0,
+                "incremental_speedup": 2.5,
+            },
         }
-        metrics = scale_metrics(committed)
-        assert metrics["scale.compile.sharded_speedup"] == (
-            2.4, True, SPEEDUP_TARGET,
-        )
-        assert metrics["scale.compile.incremental_speedup"] == (
-            1.9, True, None,
-        )
-
-    def test_no_target_below_scale(self):
-        committed = {
-            "compile": {"sharded_speedup": 1.5},
-            "acceptance": {"applies": False},
+        assert scale_metrics(committed) == {
+            "scale.compile.incremental_speedup": (2.5, True, None),
         }
-        metrics = scale_metrics(committed)
-        assert metrics["scale.compile.sharded_speedup"] == (1.5, True, None)
 
     def test_empty_report_no_metrics(self):
         assert scale_metrics({}) == {}

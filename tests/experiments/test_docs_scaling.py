@@ -1,4 +1,4 @@
-"""docs/SCALING.md must track the generator, shard, and benchmark code.
+"""docs/SCALING.md must track the generator, compile path, and benchmark code.
 
 The handbook documents public constants, CLI flags, and every key of
 ``BENCH_scale.json``; this check (part of ``make docs-check``) fails when
@@ -11,8 +11,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.control.shard import DEFAULT_SHARD_SIZE
-from repro.experiments.bench_scale import SPEEDUP_TARGET, run_scale_benchmark
+from repro.experiments.bench_check import TOLERANCE
+from repro.obs import registry
+from repro.experiments.bench_scale import (
+    DEFAULT_REPEATS,
+    DEFAULT_SIZE,
+    run_scale_benchmark,
+)
 from repro.scenarios.generate import SHAPES
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -46,11 +51,14 @@ class TestScalingHandbook:
 
     def test_constants_current(self):
         text = DOCS.read_text()
-        assert f"default {DEFAULT_SHARD_SIZE}" in text, (
-            "documented default shard size is stale"
+        assert f"default size {DEFAULT_SIZE}" in text, (
+            "documented default size is stale"
         )
-        assert f"{SPEEDUP_TARGET:.1f}x" in text, (
-            "documented acceptance target is stale"
+        assert f"default {DEFAULT_REPEATS} repeats" in text, (
+            "documented default repeat count is stale"
+        )
+        assert f"within {TOLERANCE:.0%}" in text, (
+            "documented gate tolerance is stale"
         )
 
     def test_every_report_key_documented(self):
@@ -61,5 +69,19 @@ class TestScalingHandbook:
 
     def test_instrumentation_cross_referenced(self):
         text = DOCS.read_text()
-        assert "scale.shard.crash" in text
-        assert "scale.shard.degraded" in text
+        for name in (
+            "dataplane.build.ms", "dataplane.build.cold",
+            "dataplane.build.incremental", "dataplane.deps.spf_full",
+            "dataplane.deps.spf_delta", "dataplane.deps.spf_reused",
+        ):
+            assert f"`{name}`" in text, f"{name} not documented"
+            assert registry().get(name) is not None, f"{name} not registered"
+
+    def test_reference_compiler_cross_referenced(self):
+        text = DOCS.read_text()
+        for path in (
+            "tests/control/reference.py",
+            "tests/control/test_reference_equivalence.py",
+        ):
+            assert path in text
+            assert (ROOT / path).exists(), f"{path} moved"

@@ -1,4 +1,4 @@
-"""Parallel policy verification: same report as serial, thread-safe caches."""
+"""Concurrent policy verification: verifiers on many threads share one cache."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -27,7 +27,7 @@ def network():
 @pytest.fixture()
 def policies(network):
     mined = mine_policies(network)
-    assert len(mined) > 1, "parallel tests need a multi-policy set"
+    assert len(mined) > 1, "concurrency tests need a multi-policy set"
     return mined
 
 
@@ -35,42 +35,14 @@ def _digest(report):
     return [(r.policy.policy_id, r.holds) for r in report.results]
 
 
-class TestParallelEquivalence:
-    def test_parallel_matches_serial(self, network, policies):
-        plane = build_dataplane(network, use_cache=False)
-        serial = PolicyVerifier(policies).verify_dataplane(plane)
-        parallel = PolicyVerifier(policies, max_workers=4).verify_dataplane(
-            plane
-        )
-        assert _digest(parallel) == _digest(serial)
-
-    def test_report_order_matches_policy_order(self, network, policies):
-        plane = build_dataplane(network, use_cache=False)
-        report = PolicyVerifier(policies, max_workers=4).verify_dataplane(plane)
-        assert [r.policy.policy_id for r in report.results] == [
-            policy.policy_id for policy in policies
-        ]
-
-    def test_zero_means_cpu_count(self, policies):
-        verifier = PolicyVerifier(policies, max_workers=0)
-        assert verifier._worker_count() >= 1
-
-    def test_single_policy_stays_serial(self, network, policies):
-        plane = build_dataplane(network, use_cache=False)
-        report = PolicyVerifier(policies[:1], max_workers=4).verify_dataplane(
-            plane
-        )
-        assert len(report.results) == 1
-
-
 class TestThreadSafety:
     def test_concurrent_verify_dataplane(self, network, policies):
-        """Many verifiers hammering one plane's shared trace cache."""
+        """Many serial verifiers hammering one plane's shared trace cache."""
         plane = build_dataplane(network)
-        verifier = PolicyVerifier(policies, max_workers=2)
         with ThreadPoolExecutor(max_workers=8) as pool:
             reports = list(pool.map(
-                lambda _: verifier.verify_dataplane(plane), range(16)
+                lambda _: PolicyVerifier(policies).verify_dataplane(plane),
+                range(16),
             ))
         expected = _digest(PolicyVerifier(policies).verify_dataplane(plane))
         for report in reports:
@@ -79,9 +51,7 @@ class TestThreadSafety:
     def test_shared_analyzer_populates_one_cache(self, network, policies):
         plane = build_dataplane(network, use_cache=False)
         analyzer = ReachabilityAnalyzer(plane)
-        PolicyVerifier(policies, max_workers=4).verify_dataplane(
-            plane, analyzer=analyzer
-        )
+        PolicyVerifier(policies).verify_dataplane(plane, analyzer=analyzer)
         # The plane-attached cache and the analyzer's are one and the same,
         # and the sweep populated it.
         assert plane.trace_cache

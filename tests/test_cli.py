@@ -179,7 +179,7 @@ class TestChaosCli:
         assert code == 0
         assert text.splitlines() == [
             "adversarial", "approvals", "canary", "monitor-timeouts",
-            "push-failures", "smoke", "tenants", "verify-degraded",
+            "push-failures", "smoke", "tenants",
         ]
         assert text.splitlines() == campaign_names()
 
