@@ -150,7 +150,7 @@ def cmd_bench(args, out):
 
         return run_check(repeats=args.repeats if args.repeats != 7 else 3,
                          out=out)
-    if args.concurrent:
+    if args.concurrent is not None:
         return _bench_concurrent(args, out)
     if args.rollout:
         return _bench_rollout(args, out)
@@ -650,7 +650,7 @@ def build_parser():
     )
     bench.add_argument("--repeats", type=int, default=7)
     bench.add_argument(
-        "--concurrent", type=int, default=0, metavar="N",
+        "--concurrent", type=int, default=None, metavar="N",
         help="run the concurrent-session stress benchmark with N threaded "
              "sessions instead of the perf suite",
     )

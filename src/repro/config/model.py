@@ -14,6 +14,17 @@ from dataclasses import dataclass, field
 from repro.util.errors import ConfigError
 
 
+def _as_address(address):
+    """``address`` as an ``IPv4Address``, parsing only what is not one yet.
+
+    The exact-type test keeps an ``IPv4Interface`` (a subclass) on the
+    parsing path, which rejects it as before.
+    """
+    if type(address) is ipaddress.IPv4Address:
+        return address
+    return ipaddress.IPv4Address(str(address))
+
+
 @dataclass
 class InterfaceConfig:
     """Per-interface configuration."""
@@ -105,9 +116,9 @@ class BgpConfig:
 
     def neighbor_for(self, address):
         """The neighbor statement for ``address``, or ``None``."""
-        target = ipaddress.IPv4Address(str(address))
+        target = int(_as_address(address))
         for neighbor in self.neighbors:
-            if neighbor.address == target:
+            if int(neighbor.address) == target:
                 return neighbor
         return None
 
@@ -193,15 +204,26 @@ class DeviceConfig:
         return [i.address for i in self.interfaces.values() if i.is_routed]
 
     def owns_address(self, address):
-        """Whether any interface carries exactly this IP."""
-        target = ipaddress.IPv4Address(str(address))
-        return any(i.address.ip == target for i in self.routed_interfaces())
+        """Whether any interface carries exactly this IP.
+
+        Shutdown interfaces count: ownership is configuration, not liveness.
+        Forwarding asks this on every hop, so it compares integers against
+        the live interfaces and builds no address objects.
+        """
+        target = int(_as_address(address))
+        for iface in self.interfaces.values():
+            if iface.address is not None and int(iface.address) == target:
+                return True
+        return False
 
     def interface_for_address(self, address):
         """The interface whose subnet contains ``address``, or ``None``."""
-        target = ipaddress.IPv4Address(str(address))
-        for iface in self.routed_interfaces():
-            if target in iface.address.network:
+        target = int(_as_address(address))
+        for iface in self.interfaces.values():
+            if iface.address is None:
+                continue
+            network = iface.address.network
+            if target & int(network.netmask) == int(network.network_address):
                 return iface
         return None
 

@@ -429,14 +429,14 @@ def _adjacency_index(edges):
     """``node -> [(neighbor, cost, iface_u, iface_v), ...]`` for SPF.
 
     Built once per compile and shared by every Dijkstra source. Each list
-    is sorted by ``(cost, neighbor)`` once, stably over edge order, so
-    parallel equal-cost edges keep their discovery order.
+    keeps edge discovery order, and :func:`_dijkstra` does not depend on
+    any other: relaxation is strict-``<``, so heap entries are unique in
+    ``(distance, name)``, and only parallel equal-cost edges to one
+    neighbor compete, where the first discovered wins.
     """
     adjacency = {}
     for u, v, cost, iface_u, iface_v in edges:
         adjacency.setdefault(u, []).append((v, cost, iface_u, iface_v))
-    for entries in adjacency.values():
-        entries.sort(key=lambda e: (e[1], e[0]))
     return adjacency
 
 

@@ -4,10 +4,19 @@
 the data plane hop by hop, recording the interface, route, and ACL decision
 at every device — the simulated equivalent of ``traceroute`` plus the
 explanations Batfish gives for why a packet was dropped.
+
+Every hop reads the live configs; nothing config-derived is memoized on
+the plane (``tests/control/test_cache_rebind.py``). The hop itself is kept
+cheap instead: addresses compare as integers, the transit-host test is one
+topology lookup, and traces are slotted because the trace caches hold
+thousands of them. ``tests/dataplane/reference.py`` keeps the plain walker
+as the test oracle.
 """
 
 import enum
 from dataclasses import dataclass, field
+
+from repro.net.topology import DeviceKind
 
 _MAX_HOPS = 64
 
@@ -29,7 +38,7 @@ class Disposition(enum.Enum):
         return self is Disposition.DELIVERED
 
 
-@dataclass
+@dataclass(slots=True)
 class Hop:
     """One device the flow visited."""
 
@@ -40,7 +49,7 @@ class Hop:
     note: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardingTrace:
     """The full record of one traced flow."""
 
@@ -88,6 +97,10 @@ class _Walker:
         self._visited = set()
 
     def walk(self, device, in_interface=None):
+        network = self.network
+        dataplane = self.dataplane
+        dst_ip = self.flow.dst_ip
+        dst = int(dst_ip)
         while True:
             hop = Hop(device=device, in_interface=in_interface)
             self.trace.hops.append(hop)
@@ -96,22 +109,25 @@ class _Walker:
                 return self._finish(Disposition.LOOP, hop, "revisited device")
             self._visited.add(device)
 
-            config = self.network.config(device)
+            config = network.config(device)
 
             if in_interface is not None and not self._permitted(
                 config, in_interface, "in", hop
             ):
                 return self._finish(Disposition.DENIED_IN, hop)
 
-            if config.owns_address(self.flow.dst_ip):
+            if config.owns_address(dst_ip):
                 return self._finish(Disposition.DELIVERED, hop)
 
-            if device in self.network.hosts() and in_interface is not None:
+            if (
+                in_interface is not None
+                and network.kind(device) is DeviceKind.HOST
+            ):
                 return self._finish(
                     Disposition.NOT_FORWARDED, hop, "hosts do not forward"
                 )
 
-            route = self.dataplane.fib(device).lookup(self.flow.dst_ip)
+            route = dataplane.fib(device).lookup(dst)
             if route is None:
                 return self._finish(Disposition.NO_ROUTE, hop)
             hop.route = route
@@ -120,8 +136,8 @@ class _Walker:
             if not self._permitted(config, route.out_interface, "out", hop):
                 return self._finish(Disposition.DENIED_OUT, hop)
 
-            target_ip = route.next_hop if route.next_hop is not None else self.flow.dst_ip
-            next_endpoint = self.dataplane.resolve_next_hop(
+            target_ip = route.next_hop if route.next_hop is not None else dst_ip
+            next_endpoint = dataplane.resolve_next_hop(
                 device, route.out_interface, target_ip
             )
             if next_endpoint is None:

@@ -117,12 +117,14 @@ class DataPlane:
         segment = self.segments.segment_of(device, out_interface)
         if segment is None:
             return None
+        target = int(target_ip)
+        configs = self.network.configs
         for other_device, other_iface in segment.endpoints:
-            if (other_device, other_iface) == (device, out_interface):
+            if other_device == device and other_iface == out_interface:
                 continue
-            iface_cfg = self.network.config(other_device).interfaces.get(other_iface)
-            if iface_cfg is None or not iface_cfg.is_routed or iface_cfg.shutdown:
+            iface_cfg = configs[other_device].interfaces.get(other_iface)
+            if iface_cfg is None or iface_cfg.address is None or iface_cfg.shutdown:
                 continue
-            if iface_cfg.address.ip == target_ip:
+            if int(iface_cfg.address) == target:
                 return (other_device, other_iface)
         return None

@@ -506,6 +506,24 @@ def _invariant_policies(network, lans, waypoint, rng):
 # -- seeded issues -------------------------------------------------------------
 
 
+def _remote_host(rng, others, victim):
+    """A host of a random LAN in ``others`` that ``victim`` lets in.
+
+    Rejection sampling: the LAN is redrawn while the ACLs of
+    :func:`_tag_and_filter` fence it out of ``victim`` (guest into
+    secure), so a ticket's flow always works on the clean estate. Draws
+    that were valid the first time consume the same randomness as
+    before, which keeps those estates' issues unchanged. On a tiny estate
+    where every LAN in ``others`` is fenced (a 40-device campus has one
+    LAN besides the victims), the first draw stands.
+    """
+    lan = rng.choice(others)
+    if victim.tag == "secure" and any(o.tag != "guest" for o in others):
+        while lan.tag == "guest":
+            lan = rng.choice(others)
+    return rng.choice(lan.hosts)[0]
+
+
 def _seeded_issues(network, lans, rng):
     """The three standard misconfig classes, instantiated on random LANs."""
     victims = rng.sample(lans, min(3, len(lans)))
@@ -513,7 +531,7 @@ def _seeded_issues(network, lans, rng):
     issues = {}
 
     ospf_lan = victims[0]
-    remote = rng.choice(rng.choice(others).hosts)[0]
+    remote = _remote_host(rng, others, ospf_lan)
     local = rng.choice(ospf_lan.hosts)[0]
     wildcard = prefixlen_to_wildcard(ospf_lan.subnet.prefixlen)
 
@@ -585,7 +603,7 @@ def _seeded_issues(network, lans, rng):
     )
 
     down_lan = victims[2 % len(victims)]
-    down_remote = rng.choice(rng.choice(others).hosts)[0]
+    down_remote = _remote_host(rng, others, down_lan)
     down_local = rng.choice(down_lan.hosts)[0]
 
     def inject_ifdown(network, _lan=down_lan):

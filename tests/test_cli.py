@@ -164,11 +164,15 @@ class TestBenchConcurrent:
         assert report["ok"] is True
         assert report["sessions"] == 2
 
-    def test_rejects_bad_session_count(self):
-        code, text = run("bench", "--concurrent", "0")
-        # 0 means "perf bench" by flag default; explicit negatives error.
-        code, text = run("bench", "--concurrent", "-3")
-        assert code != 0
+    def test_rejects_bad_session_count(self, tmp_path, monkeypatch):
+        # Zero is rejected like a negative count; it must not fall through
+        # to the default perf suite, which writes BENCH_dataplane.json.
+        monkeypatch.chdir(tmp_path)
+        for count in ("0", "-3"):
+            code, text = run("bench", "--concurrent", count)
+            assert code != 0, count
+            assert "at least one session" in text, count
+            assert list(tmp_path.iterdir()) == [], count
 
 
 class TestChaosCli:
