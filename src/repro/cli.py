@@ -154,9 +154,9 @@ def cmd_bench(args, out):
         return _bench_concurrent(args, out)
     if args.rollout:
         return _bench_rollout(args, out)
-    if args.scale:
+    if args.scale is not None:
         return _bench_scale(args, out)
-    if args.tenants:
+    if args.tenants is not None:
         return _bench_tenants(args, out)
     args.output = args.output or "BENCH_dataplane.json"
     report = run_benchmarks(networks=args.networks, repeats=args.repeats)
@@ -666,12 +666,12 @@ def build_parser():
              "BENCH_*.json reports",
     )
     bench.add_argument(
-        "--scale", type=int, default=0, metavar="N",
+        "--scale", type=int, default=None, metavar="N",
         help="run the mega-network scale benchmark on a generated N-device "
              "topology instead of the perf suite (writes BENCH_scale.json)",
     )
     bench.add_argument(
-        "--tenants", type=int, default=0, metavar="N",
+        "--tenants", type=int, default=None, metavar="N",
         help="run the multi-tenant front-door benchmark with N sessions "
              "split over --orgs orgs instead of the perf suite (writes "
              "BENCH_tenants.json)",

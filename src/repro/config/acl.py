@@ -67,6 +67,9 @@ class PortMatch:
         if self.op == "range" and self.high is None:
             raise ConfigError("range requires two ports")
 
+    def __deepcopy__(self, memo):
+        return self  # immutable: copies share it
+
     def matches(self, port):
         """Whether a concrete port (possibly ``None``) satisfies the match."""
         if port is None:
@@ -154,6 +157,9 @@ class AclEntry:
             raise ConfigError(f"unknown ACL protocol {self.protocol!r}")
         if self.protocol in ("ip", "icmp") and (self.src_port or self.dst_port):
             raise ConfigError(f"{self.protocol!r} entries cannot match ports")
+
+    def __deepcopy__(self, memo):
+        return self  # immutable: copies share it
 
     def matches(self, flow):
         """IOS match semantics against a :class:`~repro.net.flow.Flow`."""

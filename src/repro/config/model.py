@@ -9,7 +9,7 @@ vendor-neutral internally; :mod:`repro.config.parser` and
 
 import copy
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.util.errors import ConfigError
 
@@ -64,6 +64,11 @@ class InterfaceConfig:
             return self.trunk_vlans is None or vlan_id in self.trunk_vlans
         return False
 
+    def __deepcopy__(self, memo):
+        # Every field is immutable, so a shallow copy is a deep one; it
+        # shares the parsed address instead of re-parsing its text.
+        return replace(self)
+
 
 @dataclass(frozen=True)
 class OspfNetwork:
@@ -75,6 +80,9 @@ class OspfNetwork:
     def covers(self, address):
         """Whether an interface address activates OSPF under this statement."""
         return address.ip in self.prefix
+
+    def __deepcopy__(self, memo):
+        return self  # immutable: copies share it
 
 
 @dataclass
@@ -105,6 +113,9 @@ class BgpNeighbor:
     address: ipaddress.IPv4Address
     remote_as: int
 
+    def __deepcopy__(self, memo):
+        return self  # immutable: copies share it
+
 
 @dataclass
 class BgpConfig:
@@ -130,6 +141,9 @@ class StaticRoute:
     prefix: ipaddress.IPv4Network
     next_hop: ipaddress.IPv4Address
     distance: int = 1
+
+    def __deepcopy__(self, memo):
+        return self  # immutable: copies share it
 
 
 @dataclass

@@ -4,10 +4,8 @@ Given a config diff, this module answers "what can that change have
 invalidated?" — the question every incremental consumer of the compiler
 shares. A change maps to its **cone**: the L2 segments it can rewire, the
 OSPF adjacency set and SPF region it can perturb, and therefore the routers
-whose routes can differ. The builder rebuilds only the cone; the staged
-rollout engine intersects per-wave cones to decide which waves may be
-probed concurrently (disjoint cones cannot influence each other's
-mixed-version dataplane).
+whose routes can differ. The builder rebuilds only the cone; the risk
+classifier scores a change set by the size of its cone.
 
 Two invariants govern everything here (docs/ARCHITECTURE.md "Dependency
 graph & incremental SPF"):
@@ -264,7 +262,7 @@ def _has_bgp(base_network, network, routers):
     )
 
 
-# -- SPF regions and per-wave cones (the rollout engine's view) ----------------
+# -- SPF regions and change-set cones (the risk classifier's view) -------------
 
 
 def spf_region(ospf, seeds):
@@ -296,9 +294,9 @@ def wave_cone(plane, devices, changes):
     Conservative per change: purely local kinds (ACLs, management state,
     a device's own static routes) stay on their device; anything that can
     move a segment or a route widens to the device's broadcast-domain
-    neighbours plus its SPF region. Two waves with disjoint cones cannot
-    perturb each other's mixed-version dataplane, so their health probes
-    may run concurrently (``RolloutConfig.probe_parallel``).
+    neighbours plus its SPF region. The risk classifier
+    (:mod:`repro.core.enforcer.risk`) scales a change set's score by the
+    fraction of the network this cone covers.
     """
     cone = set(devices)
     for change in changes:
@@ -324,12 +322,3 @@ def wave_cone(plane, devices, changes):
         cone |= spf_region(plane.ospf, {device})
     return frozenset(cone)
 
-
-def cones_disjoint(cones):
-    """Whether the given cones are pairwise disjoint."""
-    seen = set()
-    for cone in cones:
-        if seen & cone:
-            return False
-        seen |= cone
-    return True

@@ -60,11 +60,6 @@ _BREAKER_TRIPS = obs_metrics.counter(
     "rollout.breaker.trips", unit="devices",
     help="per-device circuit breakers opened by spent flap budgets",
 )
-_PROBE_PARALLEL = obs_metrics.counter(
-    "rollout.probe.parallel", unit="probes",
-    help="health probes dispatched concurrently within a disjoint-cone "
-         "wave group (sequential probes are not counted)",
-)
 
 # Fault points the canary chaos campaign arms (docs/ROBUSTNESS.md catalog).
 PROBE_FAIL_FAULT = faults.fault_point(
@@ -95,19 +90,17 @@ class RolloutConfig:
     ``canary`` devices, when named, always form the leading wave(s);
     ``flap_budget`` transient failures per device open its circuit breaker;
     ``probe_incremental=False`` forces from-scratch probe compiles (the
-    rollout benchmark's cold baseline); ``probe_convergence`` toggles the
-    dead-next-hop sweep; ``probe_parallel`` lets consecutive waves whose
-    dependency cones (:func:`repro.control.deps.wave_cone`) are pairwise
-    disjoint apply back-to-back and probe concurrently — overlapping cones
-    always fall back to the strict apply-probe-commit sequence.
+    rollout benchmark's cold baseline).
+
+    Every wave runs the one strict sequence: apply, probe, commit, and only
+    then the next wave, so a bad wave never lets a later one reach
+    production.
     """
 
     wave_size: int = 1
     canary: tuple = ()
     flap_budget: int = 3
     probe_incremental: bool = True
-    probe_convergence: bool = True
-    probe_parallel: bool = True
 
 
 @dataclass
@@ -234,13 +227,11 @@ class HealthProbe:
     """
 
     def __init__(self, baseline_plane, policy_verifier=None,
-                 invariant_policy_ids=(), incremental=True,
-                 check_convergence=True):
+                 invariant_policy_ids=(), incremental=True):
         self.baseline_plane = baseline_plane
         self.policy_verifier = policy_verifier
         self.invariants = frozenset(invariant_policy_ids or ())
         self.incremental = incremental
-        self.check_convergence = check_convergence
         # Verify only the invariant policies instead of the full set and
         # filtering afterwards — the probe never reports anything else.
         self._invariant_verifier = None
@@ -257,20 +248,15 @@ class HealthProbe:
         # Per-device dead-next-hop sets: the convergence sweep reuses a
         # device's baseline set whenever neither its FIB nor any config on
         # its attached segments can have changed.
-        self._baseline_dead_by_device = None
-        self.baseline_dead = frozenset()
-        if check_convergence:
-            self._baseline_dead_by_device = {
-                device: self._dead_for_device(baseline_plane, device)
-                for device in baseline_plane.network.routers()
-            }
-            self.baseline_dead = frozenset().union(
-                *self._baseline_dead_by_device.values()
-            ) if self._baseline_dead_by_device else frozenset()
+        self._baseline_dead_by_device = {
+            device: self._dead_for_device(baseline_plane, device)
+            for device in baseline_plane.network.routers()
+        }
+        self.baseline_dead = frozenset().union(
+            *self._baseline_dead_by_device.values()
+        )
         # The previous probe's plane: each wave's plane differs from its
-        # predecessor by one wave, so traces seed best chain-wise. Read
-        # once / written last in check(); races between concurrent group
-        # probes are benign (any seed source is valid).
+        # predecessor by one wave, so traces seed best chain-wise.
         self._last_plane = None
 
     @classmethod
@@ -306,7 +292,6 @@ class HealthProbe:
             policy_verifier=policy_verifier,
             invariant_policy_ids=invariant_policy_ids,
             incremental=config.probe_incremental,
-            check_convergence=config.probe_convergence,
         )
 
     @classmethod
@@ -332,11 +317,9 @@ class HealthProbe:
             policy_verifier=policy_verifier,
             invariant_policy_ids=journal.invariant_policies or (),
             incremental=config.probe_incremental,
-            check_convergence=config.probe_convergence,
         )
 
-    def check(self, production, applied_devices, wave_index,
-              fire_fault=True):
+    def check(self, production, applied_devices, wave_index):
         """Probe the mixed-version state after a wave applied.
 
         ``applied_devices`` is the **cumulative** set of devices every
@@ -346,10 +329,7 @@ class HealthProbe:
         Returns a :class:`ProbeResult`; raises
         :class:`~repro.util.errors.HealthProbeError` only via the
         ``rollout.wave.probe_fail`` fault point (real violations are
-        reported, not raised — the scheduler decides). ``fire_fault=False``
-        skips that fault point: the scheduler's parallel wave groups fire
-        it themselves, in wave order from the dispatching thread, so
-        nth-based fault rules stay deterministic under concurrency.
+        reported, not raised — the scheduler decides).
         """
         _PROBES.inc()
         applied = set(applied_devices)
@@ -357,8 +337,7 @@ class HealthProbe:
             "rollout.probe", wave=wave_index, applied=len(applied),
             incremental=self.incremental,
         ) as span:
-            if fire_fault:
-                PROBE_FAIL_FAULT.fire(wave=wave_index, applied=len(applied))
+            PROBE_FAIL_FAULT.fire(wave=wave_index, applied=len(applied))
             if self.incremental:
                 plane = build_dataplane(
                     production,
@@ -387,12 +366,10 @@ class HealthProbe:
                     for result in report.violations
                     if result.policy.policy_id in self.invariants
                 ))
-            dead = ()
-            if self.check_convergence:
-                dead = tuple(sorted(
-                    self._dead_next_hops_scoped(plane, applied)
-                    - self.baseline_dead
-                ))
+            dead = tuple(sorted(
+                self._dead_next_hops_scoped(plane, applied)
+                - self.baseline_dead
+            ))
             result = ProbeResult(
                 wave_index=wave_index,
                 policies_checked=checked,
@@ -418,8 +395,7 @@ class HealthProbe:
         """
         base = self.baseline_plane
         if (
-            self._baseline_dead_by_device is None
-            or plane.artifacts is None
+            plane.artifacts is None
             or base.artifacts is None
             or plane.segments is not base.segments
         ):
@@ -575,8 +551,3 @@ def record_committed_wave():
     """Count one healthy, committed wave."""
     _WAVES.inc()
 
-
-def record_parallel_probes(count):
-    """Count ``count`` probes dispatched concurrently in one wave group."""
-    if count:
-        _PROBE_PARALLEL.inc(count)

@@ -31,12 +31,10 @@ mid-wave crashes.
 """
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro import faults
 from repro.config.apply import apply_change
-from repro.control import deps
 from repro.core.enforcer.journal import (
     COMMITTED,
     ROLLED_BACK,
@@ -45,14 +43,12 @@ from repro.core.enforcer.journal import (
 from repro.core.enforcer.rollout import (
     FLAP_FAULT,
     MIDWAVE_CRASH_FAULT,
-    PROBE_FAIL_FAULT,
     CircuitBreaker,
     HealthProbe,
     RolloutPlan,
     Wave,
     quarantine_devices,
     record_committed_wave,
-    record_parallel_probes,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -374,19 +370,12 @@ class ChangeScheduler:
             breaker = CircuitBreaker(rollout.flap_budget)
             applied_devices = set()
             try:
-                for group in self._probe_wave_groups(plan, probe, rollout):
-                    if len(group) == 1:
-                        self._run_wave(
-                            production, journal, group[0], probe, breaker,
-                            applied_devices, report, total_waves=len(plan),
-                            audit=audit, actor=actor, clock=clock,
-                        )
-                    else:
-                        self._run_wave_group(
-                            production, journal, group, probe, breaker,
-                            applied_devices, report, total_waves=len(plan),
-                            audit=audit, actor=actor, clock=clock,
-                        )
+                for wave in plan.waves:
+                    self._run_wave(
+                        production, journal, wave, probe, breaker,
+                        applied_devices, report, total_waves=len(plan),
+                        audit=audit, actor=actor, clock=clock,
+                    )
                 self._commit(journal, report, audit=audit, actor=actor)
             except PushCrashed as crash:
                 crash.journal = journal
@@ -482,220 +471,6 @@ class ChangeScheduler:
                     audit, actor, journal, wave, total_waves, exc, wave_span,
                 )
                 raise
-
-    def _probe_wave_groups(self, plan, probe, rollout):
-        """Partition the plan's waves into maximal probe groups.
-
-        Consecutive waves whose dependency cones
-        (:func:`repro.control.deps.wave_cone`, judged on the frozen pre-push
-        baseline) are pairwise disjoint form one group: none of them can
-        perturb anything another's probe examines, so their probes may run
-        concurrently after the group applies. Any overlap — or
-        ``probe_parallel=False`` — breaks the group, and singleton groups
-        take the strict sequential apply-probe-commit path unchanged.
-        """
-        if (
-            not getattr(rollout, "probe_parallel", False)
-            or probe.baseline_plane is None
-            or len(plan.waves) < 2
-        ):
-            return [[wave] for wave in plan.waves]
-        groups = []
-        current, seen = [], set()
-        for wave in plan.waves:
-            changes = [
-                change for batch in wave.batches for change in batch
-            ]
-            cone = deps.wave_cone(
-                probe.baseline_plane, wave.devices, changes
-            )
-            if current and (seen & cone):
-                groups.append(current)
-                current, seen = [], set()
-            current.append(wave)
-            seen |= cone
-        if current:
-            groups.append(current)
-        return groups
-
-    def _run_wave_group(self, production, journal, waves, probe, breaker,
-                        applied_devices, report, total_waves, audit=None,
-                        actor="enforcer", clock=None):
-        """Apply a disjoint-cone wave group, then probe its waves concurrently.
-
-        Sound because the group's cones are pairwise disjoint: a later
-        wave's changes cannot reach anything an earlier wave's probe
-        examines, so probing wave *k* on production with the group's later
-        waves reverted to their pre-push configs is identical to the
-        sequential probe of wave *k*. Verdicts are processed strictly in
-        wave order — the first unhealthy wave quarantines and fails the
-        push exactly as the sequential path does — and the two-state
-        outcome contract is preserved: an unhealthy group rolls production
-        back wholesale, applied-but-unprobed later waves included.
-
-        The ``rollout.wave.probe_fail`` fault is fired here, per wave in
-        wave order from this thread, *before* dispatch: the fault registry
-        counts calls globally, so firing inside concurrent probe threads
-        would land nth-based rules on a nondeterministic wave.
-        """
-        # Pre-apply config copies, for reconstructing each wave's probe
-        # state; a device belongs to exactly one wave, so one snapshot per
-        # device taken before the group applies is the pre-push content.
-        pre_apply = {}
-        for wave in waves:
-            for device in wave.devices:
-                pre_apply[device] = production.config(device).copy()
-        applied_before = set(applied_devices)
-
-        for wave in waves:
-            with obs_trace.span(
-                "rollout.wave", wave=wave.index,
-                devices=",".join(wave.devices), changes=wave.change_count,
-                phase="apply",
-            ) as wave_span:
-                journal.mark_wave_start(wave.index)
-                self._notify_wave(
-                    actor, journal, wave, total_waves, status="started",
-                )
-                try:
-                    for batch_index, batch in zip(
-                        wave.batch_indices, wave.batches
-                    ):
-                        if batch_index in journal.committed:
-                            continue
-                        MIDWAVE_CRASH_FAULT.fire(
-                            wave=wave.index, batch=batch_index,
-                        )
-                        journal.mark_batch_start(batch_index, production)
-                        self._apply_batch(
-                            production, batch, index=batch_index,
-                            clock=clock, actor=actor, breaker=breaker,
-                        )
-                        journal.mark_batch_committed(batch_index)
-                        _PUSH_BATCHES.inc()
-                        _CHANGES_COMMITTED.inc(len(batch))
-                    wave_span.set(status="applied")
-                except PushCrashed:
-                    wave_span.set(status="crashed")
-                    raise
-                except ApplyError as exc:
-                    offender = (
-                        exc.device if exc.device in wave.devices else None
-                    )
-                    offenders = (offender,) if offender else wave.devices
-                    quarantine_devices(
-                        journal, offenders, f"{type(exc).__name__}: {exc}"
-                    )
-                    self._fail_wave(
-                        audit, actor, journal, wave, total_waves, exc,
-                        wave_span,
-                    )
-                    raise
-            applied_devices.update(wave.devices)
-
-        cumulative = {}
-        running = set(applied_before)
-        for wave in waves:
-            running |= set(wave.devices)
-            cumulative[wave.index] = set(running)
-        # Devices of waves *after* each wave within the group — reverted to
-        # their pre-apply configs for that wave's probe state.
-        later = {}
-        suffix = set()
-        for wave in reversed(waves):
-            later[wave.index] = set(suffix)
-            suffix |= set(wave.devices)
-
-        to_probe = []
-        faulted = None
-        for wave in waves:
-            try:
-                PROBE_FAIL_FAULT.fire(
-                    wave=wave.index, applied=len(cumulative[wave.index]),
-                )
-            except HealthProbeError as exc:
-                faulted = (wave, exc)
-                break
-            to_probe.append(wave)
-
-        def run_probe(wave):
-            reverted = later[wave.index]
-            if reverted:
-                state = production.copy_except(reverted)
-                for device in reverted:
-                    state.configs[device] = pre_apply[device]
-            else:
-                state = production
-            return probe.check(
-                state, cumulative[wave.index], wave.index, fire_fault=False,
-            )
-
-        results = {}
-        if len(to_probe) == 1:
-            results[to_probe[0].index] = run_probe(to_probe[0])
-        elif to_probe:
-            record_parallel_probes(len(to_probe))
-            with ThreadPoolExecutor(max_workers=len(to_probe)) as pool:
-                futures = {
-                    wave.index: pool.submit(run_probe, wave)
-                    for wave in to_probe
-                }
-            for wave in to_probe:
-                results[wave.index] = futures[wave.index].result()
-
-        for wave in to_probe:
-            result = results[wave.index]
-            with obs_trace.span(
-                "rollout.wave", wave=wave.index,
-                devices=",".join(wave.devices), changes=wave.change_count,
-                phase="verdict",
-            ) as wave_span:
-                report.probes.append(result)
-                report.checked_states += 1
-                journal.mark_probe(
-                    wave.index, result.healthy, result.summary()
-                )
-                if not result.healthy:
-                    exc = HealthProbeError(
-                        f"wave {wave.index} probe failed: "
-                        f"{result.summary()}",
-                        wave_index=wave.index,
-                        violations=result.violations + result.dead_routes,
-                    )
-                    quarantine_devices(
-                        journal, wave.devices, f"probe failed: {exc}"
-                    )
-                    self._fail_wave(
-                        audit, actor, journal, wave, total_waves, exc,
-                        wave_span,
-                    )
-                    raise exc
-                journal.mark_wave_committed(wave.index)
-                record_committed_wave()
-                report.waves += 1
-                self._wave_audit(
-                    audit, actor, journal, wave, total_waves,
-                    healthy=True, detail=result.summary(),
-                )
-                self._notify_wave(
-                    actor, journal, wave, total_waves, status="committed",
-                )
-                wave_span.set(status="committed")
-
-        if faulted is not None:
-            wave, exc = faulted
-            with obs_trace.span(
-                "rollout.wave", wave=wave.index,
-                devices=",".join(wave.devices), changes=wave.change_count,
-                phase="verdict",
-            ) as wave_span:
-                quarantine_devices(
-                    journal, wave.devices, f"probe failed: {exc}"
-                )
-                self._fail_wave(
-                    audit, actor, journal, wave, total_waves, exc, wave_span,
-                )
-                raise exc
 
     def _fail_wave(self, audit, actor, journal, wave, total_waves, exc,
                    wave_span):

@@ -9,8 +9,8 @@ semantically rebased) — runs twice:
   registry lookup, capability-token validation, token-bucket admission,
   bounded queue, and the org's bulkhead workers (``workers`` per org);
 * **direct** — the PR-9 baseline: each org's
-  :class:`~repro.core.sessions.SessionManager` driven by a plain thread
-  pool of the *same* per-org width, no admission machinery.
+  :class:`~repro.core.sessions.SessionManager` driven by plain worker
+  threads of the *same* per-org width, no admission machinery.
 
 ``overhead_ratio = frontdoor_elapsed / direct_elapsed`` is the gated
 acceptance number (target: ≤ 1.3×, wired into ``bench --check``). The
@@ -23,8 +23,8 @@ zero ``tenancy.violation`` records, every org's audit chain verifies).
 Wall-clock is real ``monotonic_s`` seconds, like the other benchmarks.
 """
 
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.frontdoor import FrontDoor
 from repro.core.heimdall import Heimdall
@@ -222,24 +222,32 @@ def run_tenants_bench(sessions=DEFAULT_SESSIONS, orgs=DEFAULT_ORGS,
                 direct_outcomes.append(None)
                 direct_errors.append(f"{type(exc).__name__}: {exc}")
 
-    pools = {
-        org: ThreadPoolExecutor(
-            max_workers=WORKERS_PER_ORG,
-            thread_name_prefix=f"direct-{org}",
+    pending = {org: queue.SimpleQueue() for org in org_ids}
+    for org, count in zip(org_ids, per_org):
+        for index in range(count):
+            pending[org].put(index)
+
+    def drain(org):
+        while True:
+            try:
+                index = pending[org].get_nowait()
+            except queue.Empty:
+                return
+            run_direct(org, index)
+
+    workers = [
+        threading.Thread(
+            target=drain, args=(org,), name=f"direct-{org}-{slot}",
         )
         for org in org_ids
-    }
-    started = monotonic_s()
-    futures = [
-        pools[org].submit(run_direct, org, index)
-        for org, count in zip(org_ids, per_org)
-        for index in range(count)
+        for slot in range(WORKERS_PER_ORG)
     ]
-    for future in futures:
-        future.result()
+    started = monotonic_s()
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
     direct_elapsed = monotonic_s() - started
-    for pool in pools.values():
-        pool.shutdown()
 
     # -- phase 3: deterministic flood — the bound must shed, typed -----------
     flood = _flood_phase(network)

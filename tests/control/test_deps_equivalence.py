@@ -227,8 +227,3 @@ def test_routing_change_cone_covers_spf_region():
     changes = diff_networks(production.configs, modified.configs)
     cone = deps.wave_cone(plane, ("r1",), changes)
     assert {"r1", "r2", "r3", "r4"} <= cone
-
-
-def test_cones_disjoint():
-    assert deps.cones_disjoint([frozenset({"a"}), frozenset({"b"})])
-    assert not deps.cones_disjoint([frozenset({"a"}), frozenset({"a", "b"})])

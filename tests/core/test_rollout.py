@@ -153,13 +153,10 @@ class TestStagedPush:
         assert _serialized(production) == expected
 
     def test_wave_markers_journaled_in_order(self):
-        # probe_parallel=False pins the strict apply-probe-commit
-        # interleaving; the grouped layout is covered in
-        # TestParallelProbes.
+        # The default config interleaves apply, probe and commit per wave.
         production, changes = _changes(_three_devices)
         report = ChangeScheduler().push(
-            production, changes,
-            rollout=RolloutConfig(probe_parallel=False),
+            production, changes, rollout=RolloutConfig()
         )
         kinds = _marker_kinds(report.journal)
         assert kinds == [
@@ -226,85 +223,9 @@ class TestStagedPush:
         assert report.quarantined == ["r1"]
         assert _serialized(production) == pre_push
 
-    def test_flaps_within_budget_retry_to_commit(self):
-        production, changes = _changes(_three_devices)
-        expected = _expected_after(production, changes)
-        faults.arm({"rollout.device.flap": Rule(nth=1, times=2)}, seed=7)
-        report = ChangeScheduler().push(
-            production, changes, rollout=RolloutConfig()
-        )
-        assert report.committed
-        assert not report.quarantined
-        assert _serialized(production) == expected
-
-
-def _ospf_costs_two_devices(net):
-    """Routing-relevant changes on r1 and r3 -> overlapping SPF cones."""
-    net.config("r1").interface("Gi0/0").ospf_cost = 42
-    net.config("r3").interface("Gi0/1").ospf_cost = 42
-
-
-class TestParallelProbes:
-    """Disjoint-cone waves apply first, then probe concurrently."""
-
-    def test_grouped_push_matches_sequential_result(self):
-        production, changes = _changes(_three_devices)
-        expected = _expected_after(production, changes)
-        obs.enable()
-        report = ChangeScheduler().push(
-            production, changes, rollout=RolloutConfig()
-        )
-        assert report.committed
-        assert report.waves == 3
-        assert [probe.healthy for probe in report.probes] == [True] * 3
-        assert _serialized(production) == expected
-        parallel = obs.registry().get("rollout.probe.parallel")
-        assert parallel is not None and parallel.value == 3
-
-    def test_grouped_marker_layout(self):
-        # All three cones are disjoint (description-only changes), so the
-        # group applies every wave before any probe; verdicts still land
-        # strictly in wave order.
-        production, changes = _changes(_three_devices)
-        report = ChangeScheduler().push(
-            production, changes, rollout=RolloutConfig()
-        )
-        kinds = _marker_kinds(report.journal)
-        assert kinds == [
-            "intent",
-            "wave-start", "batch-start", "batch-committed",
-            "wave-start", "batch-start", "batch-committed",
-            "wave-start", "batch-start", "batch-committed",
-            "probe", "wave-committed",
-            "probe", "wave-committed",
-            "probe", "wave-committed",
-            "done",
-        ]
-        assert report.journal.committed_waves == {0, 1, 2}
-
-    def test_overlapping_cones_fall_back_to_sequential(self):
-        # ospf_cost edits widen each wave's cone to the whole SPF region,
-        # so no two waves may group and the strict interleaving returns.
-        production, changes = _changes(_ospf_costs_two_devices)
-        report = ChangeScheduler().push(
-            production, changes, rollout=RolloutConfig()
-        )
-        kinds = _marker_kinds(report.journal)
-        assert kinds == [
-            "intent",
-            "wave-start", "batch-start", "batch-committed", "probe",
-            "wave-committed",
-            "wave-start", "batch-start", "batch-committed", "probe",
-            "wave-committed",
-            "done",
-        ]
-        assert report.committed
-
-    def test_probe_failure_in_group_quarantines_correct_wave(self):
-        # The probe_fail fault fires from the scheduler thread in wave
-        # order even when probes themselves run concurrently, so nth=2
-        # deterministically fails wave 1 — exactly like the sequential
-        # path — and the whole group rolls back.
+    def test_probe_failure_stops_before_the_next_wave(self):
+        # A failed probe on wave 1 must stop the push before wave 2
+        # touches production: no batch of wave 2 ever starts.
         production, changes = _changes(_three_devices)
         pre_push = _serialized(production)
         faults.arm({"rollout.wave.probe_fail": Rule(nth=2)}, seed=7)
@@ -312,16 +233,25 @@ class TestParallelProbes:
             production, changes, rollout=RolloutConfig()
         )
         assert report.status == "rolled-back"
-        assert "HealthProbeError" in report.rollback_reason
         assert report.quarantined == ["r2"]
         assert _serialized(production) == pre_push
-        # Wave 0's probe still ran and committed before the failure.
-        assert report.journal.committed_waves == {0}
+        journal = report.journal
+        assert journal.committed_waves == {0}
+        wave_two = set(journal.wave_plan[2]["batch_indices"])
+        started = {
+            entry.batch_index for entry in journal.entries
+            if entry.kind == "batch-start"
+        }
+        assert started and not started & wave_two
+        assert 2 not in {
+            entry.wave_index for entry in journal.entries
+            if entry.kind == "wave-start"
+        }
 
-    def test_unhealthy_parallel_probe_rolls_back(self):
+    def test_unhealthy_probe_rolls_back(self):
         # A real (not fault-injected) probe failure: r2's wave installs a
-        # static route to a next hop nobody owns. The probes run
-        # concurrently, yet the verdict quarantines exactly r2's wave.
+        # static route to a next hop nobody owns, and the verdict
+        # quarantines exactly r2's wave.
         production = square_network()
         modified = production.copy()
         modified.config("r1").interface("Gi0/0").description = "wave-a"
@@ -338,6 +268,17 @@ class TestParallelProbes:
         assert report.status == "rolled-back"
         assert report.quarantined == ["r2"]
         assert _serialized(production) == pre_push
+
+    def test_flaps_within_budget_retry_to_commit(self):
+        production, changes = _changes(_three_devices)
+        expected = _expected_after(production, changes)
+        faults.arm({"rollout.device.flap": Rule(nth=1, times=2)}, seed=7)
+        report = ChangeScheduler().push(
+            production, changes, rollout=RolloutConfig()
+        )
+        assert report.committed
+        assert not report.quarantined
+        assert _serialized(production) == expected
 
 
 class TestHealthProbe:
@@ -401,8 +342,6 @@ class TestResumeBoundaries:
         # MIDWAVE nth=2 crashes at wave 1's first batch: the journal's
         # last markers are `wave-committed 0`, `wave-start 1` — wave 0 is
         # fully committed, wave 1 never mutated production.
-        # (probe_parallel=False: under grouped probing wave 0 would not
-        # yet be committed when wave 1's apply crashes.)
         production, changes = _changes(_three_devices)
         expected = _expected_after(production, changes)
         trail = AuditTrail(SimulatedEnclave())
@@ -410,8 +349,7 @@ class TestResumeBoundaries:
         scheduler = ChangeScheduler()
         with pytest.raises(PushCrashed) as excinfo:
             scheduler.push(
-                production, changes, audit=trail,
-                rollout=RolloutConfig(probe_parallel=False),
+                production, changes, audit=trail, rollout=RolloutConfig(),
             )
         journal = excinfo.value.journal
         assert _marker_kinds(journal)[-2:] == ["wave-committed", "wave-start"]

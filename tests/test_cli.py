@@ -174,6 +174,20 @@ class TestBenchConcurrent:
             assert "at least one session" in text, count
             assert list(tmp_path.iterdir()) == [], count
 
+    def test_rejects_bad_scale_and_tenant_counts(self, tmp_path, monkeypatch):
+        # Zero is a size like any other, not "flag not given": it must be
+        # rejected instead of running the perf suite.
+        monkeypatch.chdir(tmp_path)
+        for flag, error in (
+            ("--scale", "size must be >= 40 devices"),
+            ("--tenants", "need at least one session"),
+        ):
+            for count in ("0", "-3"):
+                code, text = run("bench", flag, count, "--repeats", "1")
+                assert code != 0, (flag, count)
+                assert error in text, (flag, count)
+                assert list(tmp_path.iterdir()) == [], (flag, count)
+
 
 class TestChaosCli:
     def test_list_names_only(self):
